@@ -1,0 +1,5 @@
+// SPEC minis of src/workloads/spec_group3.cpp over TimedSpace (see
+// traced_spec.h).
+#include "traced_spec.h"
+
+#include "workloads/spec_group3.cpp"
